@@ -2,8 +2,10 @@
 
 The reference engine (:mod:`repro.core.recursive`) mirrors the paper's
 pseudocode with sorted-array intersections — ideal for instrumentation,
-slow in CPython for dense communities. This engine is the "production
-kernel" a real release ships next to it: per *source vertex* it renames
+slow in CPython for dense communities. This engine is the packed-word
+variant of the same search, served only on explicit request
+(``engine="bitset"``); ``auto`` resolves to the frontier engine
+(:mod:`repro.core.frontier`) instead. Per *source vertex* it renames
 the out-neighborhood N⁺(u) to ``0..u-1`` (u ≤ s̃), builds one
 :class:`~repro.graphs.bitset.BitMatrix`, and serves **every** eligible
 edge (u, v) out of that one matrix — the community C(u, v) = N⁺(u) ∩
@@ -29,11 +31,11 @@ which can be amortized across queries by passing a
 Honest performance note: in *CPython* the win only materializes when the
 candidate universes span several words — on the Table-2 stand-ins
 (γ ≤ ~20, a single word) per-call numpy overhead dominates and the
-reference engine is faster. The engine-dispatch heuristic in
-:mod:`repro.core.api` encodes exactly that: ``auto`` picks this kernel
-only when the bitset word count exceeds one. The module exists because
-it is the kernel a C/Cython port would keep: every operation on the hot
-path is already a fixed-width word AND/popcount.
+reference engine is faster. The frontier engine beats this kernel
+50–100× at every measured point, so the dispatch in
+:mod:`repro.core.api` never picks it. The module stays because it is the
+kernel a C/Cython port would keep: every operation on the hot path is
+already a fixed-width word AND/popcount.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ any engine. Pieces are keyed by order family —
 
 * vertex orders: ``"degeneracy"`` (exact Matula–Beck) and ``"approx"``
   (the (2+ε)-approximate parallel peeling) — each with its oriented DAG,
-  triangle list, and edge communities;
+  triangle list, and edge communities. The ``"degeneracy"`` piece keeps
+  the exact Matula–Beck order, not a faster batch peel, so the order
+  (and every count and charge built on it) matches the reference
+  variants';
 * edge orders (Algorithm 3): ``"exact"`` greedy and ``"approx"``
   (Algorithm 4).
 

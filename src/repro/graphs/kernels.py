@@ -14,11 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..orders.community_order import undirected_edge_ids
 from ..orders.degeneracy import degeneracy_order
 from ..pram.cost import Cost
 from ..pram.primitives import log2p1
 from ..pram.tracker import NULL_TRACKER, Tracker
+from ..triangles.count import list_triangles
+from .builder import from_edges
 from .csr import CSRGraph
+from .digraph import orient_by_order
 
 __all__ = ["Kernel", "kcore_kernel", "triangle_kernel"]
 
@@ -69,23 +73,14 @@ def triangle_kernel(
     kernel = kcore_kernel(graph, k, tracker=tracker)
     if k <= 3:
         return kernel
-    from ..graphs.builder import from_edges
-    from ..graphs.digraph import orient_by_order
-    from ..triangles.count import per_edge_triangle_counts
-
     labels = kernel.labels
     g = kernel.graph
     while True:
         if g.num_edges == 0:
             break
         dag = orient_by_order(g, np.arange(g.num_vertices), tracker=tracker)
-        counts = per_edge_triangle_counts(dag, tracker=tracker)
-        # Undirected triangle participation: edge {u,v} supports counts[e]
-        # triangles as the long edge, but also appears as a short edge of
-        # others. Count full participation via the triangle list.
-        from ..triangles.count import list_triangles
-        from ..orders.community_order import undirected_edge_ids
-
+        # Undirected triangle participation: every edge of a triangle, long
+        # or short, counts it.
         tri = list_triangles(dag, tracker=tracker)
         us, vs, codes = undirected_edge_ids(g)
         participation = np.zeros(g.num_edges, dtype=np.int64)

@@ -7,6 +7,9 @@ but Θ(n) depth (Lemma 4.1):
 * the *degeneracy* ``s`` — the largest minimum degree encountered;
 * the *core number* of every vertex;
 * the *degeneracy order* — orienting by it gives max out-degree ≤ s.
+
+The exact Matula–Beck order is kept (a faster batch peel would yield a
+different order and move every Table-1 work number built on it).
 """
 
 from __future__ import annotations
@@ -51,47 +54,48 @@ def degeneracy_order(
     m = graph.num_edges
     tracker.charge(Cost(2.0 * (n + 2 * m) + 1, float(n) + 1))
 
-    deg = graph.degrees.astype(np.int64).copy()
-    max_deg = int(deg.max()) if n else 0
-
     # Batagelj–Zaveršnik bucket structure: `vert` holds the vertices sorted
     # by *current* degree, `pos[v]` is v's slot in `vert`, and `bin_[d]` is
-    # the first slot of the degree-d block. O(n + m) total.
-    bin_ = np.zeros(max_deg + 2, dtype=np.int64)
-    counts = np.bincount(deg, minlength=max_deg + 1)
-    np.cumsum(counts, out=bin_[1:])
-    fill = bin_[:-1].copy()
-    vert = np.empty(n, dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        d = deg[v]
-        vert[fill[d]] = v
-        pos[v] = fill[d]
-        fill[d] += 1
-    bin_ = bin_[:-1].copy()
+    # the first slot of the degree-d block. O(n + m) total, on Python lists
+    # (indexing them is far cheaper than numpy scalar access).
+    degrees = graph.degrees.astype(np.int64)
+    vert_arr = np.argsort(degrees, kind="stable")
+    pos_arr = np.empty(n, dtype=np.int64)
+    pos_arr[vert_arr] = np.arange(n)
+    starts = np.zeros(int(degrees.max()) + 1 if n else 1, dtype=np.int64)
+    np.cumsum(np.bincount(degrees)[:-1], out=starts[1:])
+    deg, vert, pos, bin_ = (
+        a.tolist() for a in (degrees, vert_arr, pos_arr, starts)
+    )
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
 
-    order = np.empty(n, dtype=np.int64)
-    core = np.zeros(n, dtype=np.int64)
+    order = [0] * n
+    core = [0] * n
     cur_core = 0
-
     for i in range(n):
-        v = int(vert[i])
-        cur_core = max(cur_core, int(deg[v]))
+        v = vert[i]
+        dv = deg[v]
+        if dv > cur_core:
+            cur_core = dv
         core[v] = cur_core
         order[i] = v
-        for w in graph.neighbors(v):
-            w = int(w)
-            if deg[w] > deg[v]:
-                dw = int(deg[w])
-                pw = int(pos[w])
-                ps = int(bin_[dw])
-                u = int(vert[ps])
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            dw = deg[w]
+            if dw > dv:
+                pw = pos[w]
+                ps = bin_[dw]
+                u = vert[ps]
                 if u != w:
                     vert[ps], vert[pw] = w, u
                     pos[u], pos[w] = pw, ps
                 bin_[dw] = ps + 1
                 deg[w] = dw - 1
-    return DegeneracyResult(order=order, core=core, degeneracy=cur_core)
+    return DegeneracyResult(
+        order=np.array(order, dtype=np.int64),
+        core=np.array(core, dtype=np.int64),
+        degeneracy=cur_core,
+    )
 
 
 def core_numbers(graph: CSRGraph, tracker: Tracker = NULL_TRACKER) -> np.ndarray:
